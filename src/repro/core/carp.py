@@ -36,7 +36,6 @@ from repro.faults.plan import (
     SITE_SHUFFLE_SEND,
     FaultInjector,
     FaultPlan,
-    InjectedCrashError,
 )
 from repro.obs import (
     MESSAGE_TICK,
@@ -48,7 +47,6 @@ from repro.obs import (
 )
 from repro.shuffle.flow import DelayQueue, ShuffleMessage
 from repro.shuffle.router import range_route, split_by_destination
-from repro.storage.koidb import KoiDB
 
 _MAX_ROUTE_RETRIES = 64
 
@@ -146,9 +144,9 @@ class CarpRun:
         self._tr_shuffle = self.obs.track("shuffle", "fabric")
         self._tr_reneg = self.obs.track("renegotiate", "driver")
         self._tr_epoch = self.obs.track("epoch", "driver")
-        # flush-track layout is driver-owned for *both* execution paths:
-        # KoiDB instances record onto rank-local buffering tracers (see
-        # below), so they never declare driver tracks themselves
+        # flush-track layout is driver-owned: KoiDB instances record
+        # onto rank-local buffering tracers in their shard workers, so
+        # they never declare driver tracks themselves
         for r in range(self.nreceivers):
             self.obs.track("flush", f"rank {r}")
         metrics = self.obs.metrics
@@ -164,11 +162,11 @@ class CarpRun:
         )
         self._g_in_flight = metrics.gauge("shuffle.in_flight_records")
         self.ranks = [CarpRankState(r, self.options) for r in range(nranks)]
-        # with a parallel executor each receiver rank's KoiDB lives on
-        # its sticky shard worker; the driver holds command-buffering
-        # proxies instead and syncs them at epoch barriers — the
-        # per-rank command streams replayed there are exactly the
-        # serial call sequence, so the log bytes are identical
+        # each receiver rank's KoiDB lives on its sticky shard worker
+        # (inline under SerialExecutor); the driver holds
+        # command-buffering proxies and syncs them at epoch barriers.
+        # The per-rank command streams do not depend on the backend,
+        # so the log bytes are identical on every backend
         self._executor, self._exec_owned = resolve_executor(executor)
         # a fault plan arms the injection sites (see repro.faults): the
         # driver hosts the shuffle.send site, each receiver rank's KoiDB
@@ -180,37 +178,11 @@ class CarpRun:
             FaultInjector(shuffle_specs, obs=self.obs)
             if shuffle_specs else None
         )
-        self.koidbs: list[KoiDB] | list[KoiDBProxy]
-        if self._executor.is_serial:
-            self._shards: KoiDBShardClient | None = None
-            # each KoiDB records onto its own rank-local timeline (clock
-            # at zero, buffering tracer) — exactly the stack a shard
-            # worker would use — while sharing the driver's metrics
-            # registry; :meth:`_sync_storage_trace` merges the buffered
-            # spans at the same barrier points a parallel run uses, so
-            # trace.json is identical on every backend
-            self._rank_obs: list[Obs] = [
-                Obs.deltas(metrics=self.obs.metrics)
-                if self._obs_on else NULL_OBS
-                for _ in range(self.nreceivers)
-            ]
-            self.koidbs = [
-                KoiDB(
-                    r, self.out_dir, self.options, obs=self._rank_obs[r],
-                    faults=(
-                        faults.specs_for_rank(r)
-                        if faults is not None else None
-                    ),
-                )
-                for r in range(self.nreceivers)
-            ]
-        else:
-            self._rank_obs = []
-            self._shards = KoiDBShardClient(
-                self._executor, self.out_dir, self.options,
-                self.nreceivers, obs=self.obs, faults=faults,
-            )
-            self.koidbs = self._shards.proxies
+        self._shards = KoiDBShardClient(
+            self._executor, self.out_dir, self.options,
+            self.nreceivers, obs=self.obs, faults=faults,
+        )
+        self.koidbs: list[KoiDBProxy] = self._shards.proxies
         self.table: PartitionTable | None = None
         self._version = 0
         self._flow: DelayQueue | None = None
@@ -222,28 +194,9 @@ class CarpRun:
     # ----------------------------------------------------------- plumbing
 
     def close(self) -> None:
-        if self._shards is not None:
-            self._shards.close()
-        else:
-            for db in self.koidbs:
-                db.close()
-            self._sync_storage_trace()
+        self._shards.close()
         if self._exec_owned:
             self._executor.close()
-
-    def _sync_storage_trace(self) -> None:
-        """Merge serial rank-local KoiDB spans into the driver trace.
-
-        The serial twin of :meth:`KoiDBShardClient.barrier`'s span
-        merge: drains each rank's buffering tracer in ascending rank
-        order at the same points a parallel run barriers, so the
-        driver-side event sequence (and hence the written trace.json)
-        is bit-identical across executors.
-        """
-        for rank_obs in self._rank_obs:
-            records = rank_obs.tracer.drain()
-            if records:
-                self.obs.tracer.merge_events(records)
 
     def __enter__(self) -> "CarpRun":
         return self
@@ -355,9 +308,8 @@ class CarpRun:
         rid = ctx.request_id if ctx is not None else None
         if self._obs_on and rid is not None:
             # driver-side spans pick the id up from the obs stack;
-            # storage-side spans via set_request, which the serial path
-            # applies immediately and the parallel path replays as a
-            # ("ctx", rid) command at the same stream position
+            # storage-side spans via set_request, which the shard
+            # workers replay as a ("ctx", rid) command
             self.obs.request_id = rid
             for db in self.koidbs:
                 db.set_request(rid)
@@ -410,9 +362,8 @@ class CarpRun:
             self._round_idx = round_idx
             if self._obs_on:
                 obs.clock.advance(ROUND_TICK)
-                # interval telemetry: driver-scoped counters only, so
-                # the sample is identical whether worker deltas merge
-                # live (serial) or at barriers (parallel)
+                # interval telemetry: driver-scoped counters only —
+                # worker deltas merge at the epoch barriers
                 obs.telemetry.tick()
             pending: dict[int, RecordBatch] = {}
             round_records = 0
@@ -468,23 +419,18 @@ class CarpRun:
         if self.faults is not None:
             # determinacy point for crash injection: surface any
             # mid-epoch worker failure *before* the first finish
-            # command, so a crashed epoch commits on no rank — the
-            # same all-or-per-rank outcome the serial path produces by
-            # aborting instantly.  (Gated on a fault plan so fault-free
-            # runs keep today's exact barrier/trace schedule.)
-            if self._shards is not None:
-                self._shards.barrier()
-            else:
-                self._sync_storage_trace()
-        self._finish_all_ranks()
-        if self._shards is not None:
-            # the barrier replays outstanding command streams on the
-            # shard workers and syncs proxy stats/offsets/metrics (and
-            # merges worker spans), so the reads below see the finished
-            # epoch
+            # command, so a crashed epoch commits on no rank.  (Gated on
+            # a fault plan so fault-free runs keep today's exact
+            # barrier/trace schedule.)
             self._shards.barrier()
-        else:
-            self._sync_storage_trace()
+        # finish commands run independently per rank, so one rank's
+        # torn epoch flush does not stop the others from committing
+        # (per-rank fail-stop); the barrier replays them and syncs
+        # proxy stats/offsets/metrics (and merges worker spans), so the
+        # reads below see the finished epoch
+        for db in self.koidbs:
+            db.finish_epoch()
+        self._shards.barrier()
 
         stats.partition_loads = np.array(
             [db.stats.records_in - before for db, before in zip(self.koidbs, records_before)],
@@ -511,29 +457,6 @@ class CarpRun:
             )
             self.obs.request_id = None
         return stats
-
-    def _finish_all_ranks(self) -> None:
-        """Issue ``finish_epoch`` on every rank, fail-stop per rank.
-
-        Under a fault plan the serial path defers an injected crash
-        until every other rank has finished: a parallel run's finish
-        commands execute independently per shard worker, so one rank's
-        torn epoch flush must not prevent the others from committing —
-        per-rank fail-stop, identical log bytes on every backend.
-        """
-        if self.faults is None or self._shards is not None:
-            for db in self.koidbs:
-                db.finish_epoch()
-            return
-        first_crash: InjectedCrashError | None = None
-        for db in self.koidbs:
-            try:
-                db.finish_epoch()
-            except InjectedCrashError as exc:
-                if first_crash is None:
-                    first_crash = exc
-        if first_crash is not None:
-            raise first_crash
 
     # ------------------------------------------------------------ routing
 

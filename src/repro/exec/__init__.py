@@ -6,7 +6,7 @@ package makes that executable.  An :class:`Executor` runs *shard
 tasks* — module-level functions bound to sticky, worker-exclusive
 per-shard state — with three interchangeable backends:
 
-* :class:`SerialExecutor` — the zero-overhead default, inline.
+* :class:`SerialExecutor` — the default; runs each task inline at submit.
 * :class:`ThreadExecutor` — a thread pool; wins when tasks release the
   GIL (file I/O, NumPy kernels).
 * :class:`ProcessExecutor` — a process pool; fully shared-nothing,

@@ -116,8 +116,11 @@ class Executor(abc.ABC):
     def is_serial(self) -> bool:
         """True when tasks run inline on the calling thread.
 
-        Hot paths use this to keep their zero-overhead direct code path
-        instead of routing through the task machinery.
+        Read only by the query engine's probe, which then reads through
+        its own open readers instead of submitting ``probe_log`` tasks
+        (``QueryService`` workers share :data:`SERIAL_EXEC` across
+        threads, so they must not submit to it).  Every other hot path
+        submits its tasks on every backend.
         """
         return False
 
@@ -169,12 +172,12 @@ class Executor(abc.ABC):
 class SerialExecutor(Executor):
     """Run every task inline on the calling thread.
 
-    The default backend everywhere: consumers check
-    :attr:`Executor.is_serial` and keep their direct code path, so a
-    serial run pays a single attribute check.  When tasks *are*
-    submitted (e.g. exercising worker functions in tests) they run
-    immediately with the same sticky-state semantics as the parallel
-    backends.
+    The default backend everywhere.  Tasks run at :meth:`submit` with
+    the same sticky-state, retry and failure semantics as the pool
+    backends: a failed task does not stop later submissions from
+    running, and :meth:`drain` raises the submission-order-first
+    failure.  Like every executor, one thread drives an instance at a
+    time — ``submit`` and ``drain`` share one result buffer.
     """
 
     name = "serial"
@@ -192,8 +195,6 @@ class SerialExecutor(Executor):
         return True
 
     def submit(self, shard: int, fn: TaskFn, /, *args: Any) -> None:
-        if self._failure is not None:
-            return  # drain will raise; mirror parallel fail-fast drains
         state = self._states.setdefault(shard, {})
         retries = 0
         while True:
@@ -205,17 +206,22 @@ class SerialExecutor(Executor):
                     retries += 1
                     self.retries_done += 1
                     continue
-                self._failure = WorkerCrashError(
+                self._fail(WorkerCrashError(
                     f"task on shard {shard} crashed"
                     f"{f' after {retries} retries' if retries else ''}: "
                     f"{exc}"
-                )
+                ))
                 return
             except Exception as exc:  # noqa: BLE001 - uniform worker semantics
-                self._failure = WorkerTaskError(
-                    shard, repr(exc), traceback.format_exc()
+                self._fail(
+                    WorkerTaskError(shard, repr(exc), traceback.format_exc())
                 )
                 return
+
+    def _fail(self, failure: ExecutorError) -> None:
+        # keep the first failure: the pools report in submission order
+        if self._failure is None:
+            self._failure = failure
 
     def drain(self) -> list[Any]:
         results, self._results = self._results, []
@@ -230,7 +236,7 @@ class SerialExecutor(Executor):
         self._failure = None
 
 
-#: Shared default executor.  Stateless use only (the built-in serial
-#: paths never submit tasks to it); anything needing sticky shard state
-#: should own a fresh executor instance.
+#: Shared default executor.  Runs that share it keep their shard state
+#: apart (``koidb_apply`` keys it per run), so sequential sessions may
+#: reuse it; like any executor, only one thread may drive it at a time.
 SERIAL_EXEC = SerialExecutor()

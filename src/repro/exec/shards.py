@@ -1,13 +1,14 @@
-"""Driver-side shard plumbing for parallel KoiDB ingest.
+"""Driver-side shard plumbing for KoiDB ingest.
 
-``CarpRun`` routing never depends on a KoiDB response, so a parallel
-run can treat each destination rank's KoiDB as a *replayed command
-stream*: the driver buffers the per-rank sequence of
+``CarpRun`` routing never depends on a KoiDB response, so a run treats
+each destination rank's KoiDB as a *replayed command stream*: the
+driver buffers the per-rank sequence of
 begin / set_owned_range / ingest / finish / close calls and ships it to
 the shard worker that owns the rank, where
 :func:`repro.exec.work.koidb_apply` replays it against a real KoiDB.
-Because the per-rank sequence is identical to what a serial run would
-have executed, the rank's log bytes come out identical — that is the
+Every backend runs this path — :class:`~repro.exec.api.SerialExecutor`
+replays inline — and the per-rank sequence does not depend on the
+backend, so the rank's log bytes come out identical.  That is the
 whole determinism argument.
 
 :class:`KoiDBProxy` is the drop-in stand-in ``CarpRun`` holds instead
@@ -20,6 +21,7 @@ finish-epoch fan-out, which is exactly where it reads stats.
 
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
 
 from repro.core.config import CarpOptions
@@ -29,6 +31,11 @@ from repro.exec.work import KoiDBApplyResult, KoiDBCommand, koidb_apply
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.obs import NULL_OBS, Obs, SpanRecord
 from repro.storage.koidb import KoiDBStats
+
+#: Source of run tokens: ``koidb_apply`` keys a run's shard state by
+#: its token, so runs sharing an executor stay apart.  ``next`` on an
+#: ``itertools.count`` is atomic, so concurrent drivers never collide.
+_RUN_TOKENS = itertools.count()
 
 
 class _ProxyLog:
@@ -66,10 +73,9 @@ class KoiDBProxy:
     def set_request(self, request_id: str | None) -> None:
         """Enqueue a request-context switch into the command stream.
 
-        Replayed by ``koidb_apply`` as ``obs.request_id = request_id``
-        at the same stream position where a serial driver would call
-        ``KoiDB.set_request``, so worker-side flush spans carry the
-        same ``request`` attribution as serial ones.  Context commands
+        Replayed by ``koidb_apply`` as ``KoiDB.set_request`` at this
+        stream position, so worker-side flush spans carry the
+        request's attribution on every backend.  Context commands
         carry no records and never trigger an auto-flush, so task
         boundaries — and therefore log bytes — are unchanged.
         """
@@ -82,9 +88,11 @@ class KoiDBProxy:
 class KoiDBShardClient:
     """Buffers per-rank KoiDB command streams and runs the barriers.
 
-    One instance per parallel ``CarpRun``; rank ``r`` is shard key
-    ``r`` on the bound executor, so sticky assignment gives each worker
-    a disjoint set of rank directories (shared-nothing ownership).
+    One instance per ``CarpRun``; rank ``r`` is shard key ``r`` on the
+    bound executor, so sticky assignment gives each worker a disjoint
+    set of rank directories (shared-nothing ownership).  The client's
+    run token keeps its worker-side state apart from other runs on the
+    same executor.
     Buffers auto-flush once a rank accumulates a memtable's worth of
     records, keeping task granularity coarse enough to amortize
     dispatch overhead.
@@ -100,6 +108,7 @@ class KoiDBShardClient:
         faults: FaultPlan | None = None,
     ) -> None:
         self._executor = executor
+        self._token = next(_RUN_TOKENS)
         self._directory = str(directory)
         self._options = options
         self._obs = obs if obs is not None else NULL_OBS
@@ -140,6 +149,7 @@ class KoiDBShardClient:
         self._executor.submit(
             rank,
             koidb_apply,
+            self._token,
             rank,
             self._directory,
             self._options,
@@ -158,9 +168,8 @@ class KoiDBShardClient:
         and log offsets replace the proxies' copies with the workers'
         newest cumulative values.  Worker span records (rank-local
         virtual timelines) are regrouped per rank and replayed into the
-        driver tracer in ascending rank order — the same order
-        ``CarpRun._sync_storage_trace`` uses serially — so the merged
-        trace is bit-identical across backends.
+        driver tracer in ascending rank order, so the merged trace is
+        bit-identical across backends.
         """
         for rank in range(len(self.proxies)):
             self._submit(rank)

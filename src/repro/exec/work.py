@@ -11,10 +11,11 @@ Task functions must stay at module level so
 reference.
 
 The ingest task is a *command replay*: ``CarpRun`` routing never
-depends on KoiDB responses, so the driver can buffer each destination
-rank's command stream (begin / own / ingest / finish / close) and have
-the owning shard worker replay it verbatim — producing the exact bytes
-a serial run would have appended to that rank's log.
+depends on KoiDB responses, so the driver buffers each destination
+rank's command stream (begin / own / ingest / finish / close) and the
+owning shard worker replays it verbatim.  Every backend, the inline
+:class:`~repro.exec.api.SerialExecutor` included, runs this one path,
+so a rank's log bytes depend only on its command stream.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from repro.core.config import CarpOptions
 from repro.core.records import RecordBatch, range_mask
-from repro.exec.api import WorkerCrashError, stateful_task
+from repro.exec.api import SerialExecutor, WorkerCrashError, stateful_task
 from repro.faults.plan import SITE_TASK, FaultInjector, FaultSpec
 from repro.obs import NULL_OBS, Obs, SpanRecord, snapshot_delta
 from repro.storage.koidb import KoiDB, KoiDBStats
@@ -66,6 +67,7 @@ class KoiDBApplyResult:
 @stateful_task
 def koidb_apply(
     state: dict[str, Any],
+    token: int,
     rank: int,
     directory: str,
     options: CarpOptions,
@@ -75,12 +77,19 @@ def koidb_apply(
 ) -> KoiDBApplyResult:
     """Replay a batch of KoiDB commands on the shard owning ``rank``.
 
+    ``token`` names the run (minted by
+    :class:`~repro.exec.shards.KoiDBShardClient`): the run's KoiDB,
+    obs stack and fault injector live under it in shard state, so runs
+    sharing one executor — sequential sessions on the default
+    :data:`~repro.exec.api.SERIAL_EXEC` — never see each other's state.
+    After ``close`` only the run's closed marker remains.
+
     The first call opens the rank's KoiDB inside the worker (truncating
-    the rank log exactly as a serial ``CarpRun`` construction would);
-    subsequent calls reuse it, so the log grows as one contiguous
-    append stream.  Returns a copy of the cumulative ``KoiDBStats``,
-    the log offset, and the metrics and trace spans recorded since the
-    previous call (the spans on the rank's local virtual timeline).
+    the rank log); subsequent calls reuse it, so the log grows as one
+    contiguous append stream.  Returns a copy of the cumulative
+    ``KoiDBStats``, the log offset, and the metrics and trace spans
+    recorded since the previous call (the spans on the rank's local
+    virtual timeline).
 
     ``fault_specs`` arms this rank's fault sites.  The ``exec.task``
     site is checked once per call, *before* any command is applied —
@@ -95,32 +104,29 @@ def koidb_apply(
     committed epoch.  ``ProcessExecutor`` fails the drain instead and
     leaves the log on disk for ``KoiDB.open(recover=True)``.
     """
-    db: KoiDB | None = state.get("koidb")
-    if fault_specs and "task_injector" not in state:
-        state["task_injector"] = FaultInjector(fault_specs)
-    task_injector: FaultInjector | None = state.get("task_injector")
+    runs: dict[int, dict[str, Any]] = state.setdefault("koidb_runs", {})
+    run = runs.setdefault(token, {})
+    if fault_specs and "task_injector" not in run:
+        run["task_injector"] = FaultInjector(fault_specs)
+    task_injector: FaultInjector | None = run.get("task_injector")
     if task_injector is not None:
         spec = task_injector.check(SITE_TASK)
         if spec is not None:
             raise WorkerCrashError(
                 f"injected worker crash at task {spec.index} for rank {rank}"
             )
+    if run.get("closed"):
+        # re-opening would truncate the rank log a closed KoiDB
+        # already finalized
+        raise RuntimeError(f"KoiDB for rank {rank} was already closed")
+    db: KoiDB | None = run.get("koidb")
     if db is None:
-        if state.get("closed"):
-            # re-opening would truncate the rank log a closed KoiDB
-            # already finalized
-            raise RuntimeError(f"KoiDB for rank {rank} was already closed")
         obs = Obs.deltas() if record_obs else NULL_OBS
         db = KoiDB(rank, Path(directory), options, obs=obs, faults=fault_specs)
-        state["koidb"] = db
-        state["obs"] = obs
-        state["prev_snapshot"] = obs.metrics.snapshot()
-    elif db.rank != rank or db.directory != Path(directory):
-        raise RuntimeError(
-            f"shard state collision: worker holds KoiDB rank {db.rank} at "
-            f"{db.directory}, got commands for rank {rank} at {directory} "
-            "(one executor instance per CarpRun)"
-        )
+        run["koidb"] = db
+        run["obs"] = obs
+        run["prev_snapshot"] = obs.metrics.snapshot()
+    obs = run["obs"]
     for command in commands:
         verb = command[0]
         if verb == "ingest":
@@ -133,16 +139,14 @@ def koidb_apply(
             db.finish_epoch()
         elif verb == "close":
             db.close()
-            state.pop("koidb", None)
-            state["closed"] = True
+            runs[token] = {"closed": True}
         elif verb == "ctx":
             db.set_request(command[1])
         else:
             raise ValueError(f"unknown KoiDB command {verb!r}")
-    obs = state["obs"]
     current = obs.metrics.snapshot()
-    delta = snapshot_delta(current, state["prev_snapshot"])
-    state["prev_snapshot"] = current
+    delta = snapshot_delta(current, run["prev_snapshot"])
+    run["prev_snapshot"] = current
     return KoiDBApplyResult(
         rank=rank,
         stats=dataclasses.replace(db.stats),
@@ -178,20 +182,26 @@ class LogProbeResult:
                 + sum(len(k) for k in self.key_runs))
 
 
+def _reader_key(
+    path: str, recover: bool, pin: CommittedState | None
+) -> tuple[str, bool, tuple[int, int] | None]:
+    # pinned readers are keyed by their commit point: two snapshots of
+    # the same growing log pin different footers and must not share a
+    # reader (the older one must never see the newer entries)
+    pin_key = None if pin is None else (pin.footer_end, pin.manifest_offset)
+    return (path, recover, pin_key)
+
+
 def _cached_reader(
     state: dict[str, Any],
     path: str,
     recover: bool,
     pin: CommittedState | None,
 ) -> LogReader:
-    # pinned readers are keyed by their commit point: two snapshots of
-    # the same growing log pin different footers and must not share a
-    # reader (the older one must never see the newer entries)
-    pin_key = None if pin is None else (pin.footer_end, pin.manifest_offset)
     readers: dict[tuple[str, bool, tuple[int, int] | None], LogReader] = (
         state.setdefault("readers", {})
     )
-    key = (path, recover, pin_key)
+    key = _reader_key(path, recover, pin)
     reader = readers.get(key)
     if reader is None:
         reader = LogReader(Path(path), recover=recover, pin=pin)
@@ -271,14 +281,29 @@ def probe_log(
     )
 
 
+def evict_reader(
+    state: dict[str, Any],
+    path: str,
+    recover: bool,
+    pin: CommittedState | None = None,
+) -> None:
+    """Close the reader :func:`probe_log` cached for one store's log.
+
+    Submitted by ``PartitionedStore.close`` on every shard it probed,
+    so a released snapshot's pinned mappings do not outlive it.
+    """
+    reader = state.get("readers", {}).pop(_reader_key(path, recover, pin), None)
+    if reader is not None:
+        reader.close()
+
+
 # ------------------------------------------------------------- compaction
 
 def read_epoch_log(state: dict[str, Any], path: str, epoch: int) -> RecordBatch | None:
     """Load one log's records for ``epoch`` (compactor read fan-out).
 
-    Entries are concatenated in manifest order, matching the serial
-    ``read_epoch`` loop; returns ``None`` when the log holds nothing
-    for the epoch.
+    Entries are concatenated in manifest order; returns ``None`` when
+    the log holds nothing for the epoch.
     """
     with LogReader(Path(path)) as reader:
         batches = [reader.read_sst(e) for e in reader.entries_for(epoch=epoch)]
@@ -302,14 +327,14 @@ def compact_epoch_task(
     """
     # imported lazily: the compactor module itself takes executor=
     # keywords from repro.exec, so a top-level import would be circular
-    from repro.exec.api import SERIAL_EXEC
     from repro.storage.compactor import compact_epoch
 
-    # force the inner compaction serial: CARP_EXECUTOR=process would
-    # otherwise try to nest a pool inside a daemonic worker
+    # a private serial executor: CARP_EXECUTOR=process would otherwise
+    # nest a pool inside a daemonic worker, and pool threads sharing
+    # SERIAL_EXEC would drain each other's read results
     return str(
         compact_epoch(
             Path(in_dir), Path(out_dir), epoch, sst_records,
-            executor=SERIAL_EXEC,
+            executor=SerialExecutor(),
         )
     )

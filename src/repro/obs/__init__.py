@@ -196,15 +196,12 @@ class Obs:
         return NULL_OBS
 
     @classmethod
-    def deltas(cls, metrics: MetricsRegistry | None = None) -> "Obs":
+    def deltas(cls) -> "Obs":
         """A rank-local stack: live metrics, fresh clock, buffering tracer.
 
         The one sanctioned observability stack inside executor worker
-        tasks (lint rule P602 bans ``Obs.recording()`` there), and the
-        stack ``CarpRun`` hands each serial KoiDB so both paths record
-        identically.  Metric instruments record into ``metrics`` when
-        given (the serial case shares the driver's registry) or into a
-        private registry whose
+        tasks (lint rule P602 bans ``Obs.recording()`` there).  Metric
+        instruments record into a private registry whose
         :func:`~repro.obs.metrics.snapshot_delta` the worker ships back
         for the driver to merge in shard order.  Spans land in a
         :class:`~repro.obs.buffer.BufferingTracer` on a *rank-local*
@@ -213,9 +210,7 @@ class Obs:
         bit-identical across Serial/Thread/Process executors (the
         per-rank command stream is the same on every backend).
         """
-        return cls(VirtualClock(),
-                   metrics if metrics is not None else MetricsRegistry(),
-                   BufferingTracer())
+        return cls(VirtualClock(), MetricsRegistry(), BufferingTracer())
 
     def track(self, process: str, thread: str = "main") -> Track:
         """Shorthand for ``obs.tracer.track(...)``."""

@@ -23,7 +23,12 @@ import numpy as np
 from repro.core.records import RecordBatch
 from repro.exec.api import Executor
 from repro.exec.factory import resolve_executor
-from repro.exec.work import LogProbeResult, probe_entries, probe_log
+from repro.exec.work import (
+    LogProbeResult,
+    evict_reader,
+    probe_entries,
+    probe_log,
+)
 from repro.obs import NULL_OBS, Obs, RequestContext
 from repro.sim.iomodel import IOModel
 from repro.storage.log import LogReader, list_logs
@@ -152,10 +157,22 @@ class PartitionedStore:
         for i, r in enumerate(self._readers):
             for e in r.entries:
                 self._entries.append((i, e))
+        # reader indices whose shard workers cached a reader for us
+        self._probed: set[int] = set()
 
     def close(self) -> None:
         for r in self._readers:
             r.close()
+        # worker readers are cached per (path, pin): evict ours, or
+        # every released snapshot would keep its logs mapped
+        for idx in sorted(self._probed):
+            self._executor.submit(
+                idx, evict_reader, str(self._paths[idx]), self._recover,
+                self._pins[idx],
+            )
+        if self._probed:
+            self._executor.drain()
+            self._probed.clear()
         if self._exec_owned:
             self._executor.close()
 
@@ -327,6 +344,7 @@ class PartitionedStore:
         # the pin — it never parses the footer or scans for one, and
         # the torn tail a concurrently appending writer may be mid-way
         # through is never consulted
+        self._probed.update(by_reader)
         for reader_idx, log_entries in by_reader.items():
             self._executor.submit(
                 reader_idx, probe_log, str(self._paths[reader_idx]),

@@ -160,18 +160,16 @@ class RangeReader:
         )
         return response_from_result(req, "", token, result)
 
-    def query(self, epoch: int, lo: float, hi: float) -> QueryResponse:
-        """Query mode: one range query (legacy spread, routed through
-        :class:`QueryRequest`)."""
-        return self.request(QueryRequest(lo=lo, hi=hi, epoch=epoch))
-
     def run_batch(
         self,
         queries: list[BatchQuerySpec],
         log_path: Path | str | None = None,
     ) -> BatchResult:
         """Batch mode: run queries in order; optionally write querylog.csv."""
-        results = [self.query(q.epoch, q.lo, q.hi) for q in queries]
+        results = [
+            self.request(QueryRequest(lo=q.lo, hi=q.hi, epoch=q.epoch))
+            for q in queries
+        ]
         batch = BatchResult(results)
         if log_path is not None:
             write_query_log(results, log_path)

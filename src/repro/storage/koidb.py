@@ -160,11 +160,10 @@ class KoiDB:
     def set_request(self, request_id: str | None) -> None:
         """Attribute subsequent storage spans to one request.
 
-        Mirrors the ``("ctx", request_id)`` command a
-        :class:`~repro.exec.shards.KoiDBProxy` enqueues for parallel
-        workers: the serial driver calls this directly on each rank's
-        KoiDB at the same command-stream position, so flush spans carry
-        identical ``request`` args on every executor backend.
+        ``koidb_apply`` calls this when it replays the
+        ``("ctx", request_id)`` command a
+        :class:`~repro.exec.shards.KoiDBProxy` enqueued, so flush spans
+        carry identical ``request`` args on every executor backend.
         """
         self.obs.request_id = request_id
 

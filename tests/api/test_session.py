@@ -10,8 +10,9 @@ import pytest
 from repro import Session
 from repro.core.carp import CarpRun
 from repro.core.config import CarpOptions
-from repro.exec import SERIAL_EXEC, ThreadExecutor
+from repro.exec import SERIAL_EXEC, SerialExecutor, ThreadExecutor
 from repro.query.engine import PartitionedStore
+from repro.query.request import QueryRequest
 from repro.traces.vpic import VpicTraceSpec, generate_timestep
 
 OPTIONS = CarpOptions(
@@ -39,7 +40,7 @@ def test_session_matches_manual_wiring(tmp_path):
 
     with Session(SPEC.nranks, tmp_path / "facade", OPTIONS) as session:
         session.ingest_epoch(0, _streams(0))
-        got = session.query(0, 0.5, 2.0)
+        got = session.query(QueryRequest(lo=0.5, hi=2.0, epoch=0))
 
     assert np.array_equal(got.keys, expect.keys)
     assert np.array_equal(got.rids, expect.rids)
@@ -89,7 +90,7 @@ def test_session_owns_env_created_executor(tmp_path, monkeypatch):
     session = Session(SPEC.nranks, tmp_path, OPTIONS)
     assert isinstance(session.executor, ThreadExecutor)
     session.ingest_epoch(0, _streams(0))
-    assert len(session.query(0, -10.0, 10.0)) > 0
+    assert len(session.query(QueryRequest(lo=-10.0, hi=10.0, epoch=0))) > 0
     session.close()
     with pytest.raises(Exception):
         session.executor.submit(0, print)
@@ -130,3 +131,45 @@ def test_session_close_releases_log_handles(tmp_path):
     assert session._store is None
     with pytest.raises(Exception):
         store.query(0, 0.0, 1.0)
+
+
+def _log_bytes(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.glob("*.tbl"))}
+
+
+def test_sessions_share_the_default_serial_executor(tmp_path):
+    # two sessions on the one shared SERIAL_EXEC, interleaving epochs,
+    # then a third reopening the first's directory: each run's logs
+    # must match the same run done alone on a private executor
+    spec_b = VpicTraceSpec(nranks=4, particles_per_rank=500, value_size=8,
+                           seed=11)
+    streams = {
+        "a": [generate_timestep(SPEC, e) for e in range(2)],
+        "b": [generate_timestep(spec_b, e) for e in range(2)],
+    }
+    solo = {}
+    for name, epochs in streams.items():
+        with Session(SPEC.nranks, tmp_path / f"solo_{name}", OPTIONS,
+                     executor=SerialExecutor()) as session:
+            for epoch, epoch_streams in enumerate(epochs):
+                session.ingest_epoch(epoch, epoch_streams)
+        solo[name] = _log_bytes(tmp_path / f"solo_{name}")
+
+    shared = {
+        name: Session(SPEC.nranks, tmp_path / name, OPTIONS,
+                      executor=SERIAL_EXEC)
+        for name in streams
+    }
+    for epoch in range(2):
+        for name, session in shared.items():
+            session.ingest_epoch(epoch, streams[name][epoch])
+    for session in shared.values():
+        session.close()
+    for name in streams:
+        assert _log_bytes(tmp_path / name) == solo[name], name
+
+    with Session(SPEC.nranks, tmp_path / "a", OPTIONS,
+                 executor=SERIAL_EXEC) as session:
+        for epoch, epoch_streams in enumerate(streams["a"]):
+            session.ingest_epoch(epoch, epoch_streams)
+    assert _log_bytes(tmp_path / "a") == solo["a"]

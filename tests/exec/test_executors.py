@@ -60,6 +60,15 @@ def exit_task(state):
     os._exit(3)
 
 
+def mark_task(state, value):
+    state["mark"] = value
+    return value
+
+
+def read_mark_task(state):
+    return state.get("mark")
+
+
 # ------------------------------------------------------------ fixtures
 
 BACKENDS = {
@@ -159,6 +168,20 @@ def test_first_failure_in_submission_order_wins(executor):
     with pytest.raises(WorkerTaskError) as exc_info:
         executor.drain()
     assert exc_info.value.shard == 1
+
+
+def test_tasks_after_a_failure_still_run(executor):
+    # a failed task does not stop later submissions: the task on
+    # another shard runs and leaves its side effect, and the drain
+    # still raises the first failure in submission order
+    executor.submit(0, boom_task)
+    executor.submit(1, mark_task, "ran")
+    executor.submit(2, boom_task)
+    with pytest.raises(WorkerTaskError) as exc_info:
+        executor.drain()
+    assert exc_info.value.shard == 0
+    executor.submit(1, read_mark_task)
+    assert executor.drain() == ["ran"]
 
 
 def test_context_manager_closes(tmp_path):

@@ -44,6 +44,7 @@ from repro.faults.plan import (
     InjectedCrashError,
 )
 from repro.obs import Obs
+from repro.query.request import QueryRequest
 from repro.storage.fsck import fsck
 from repro.storage.log import list_logs
 from repro.traces.vpic import VpicTraceSpec, generate_timestep
@@ -92,7 +93,7 @@ def _run_session(out_dir, make_exec, plan):
             session.ingest_epoch(epoch, _streams(epoch))
         queries = []
         for epoch in range(EPOCHS):
-            res = session.query(epoch, 0.25, 4.0)
+            res = session.query(QueryRequest(lo=0.25, hi=4.0, epoch=epoch))
             queries.append(
                 (_digest(res.keys.tobytes()), _digest(res.rids.tobytes()))
             )
@@ -162,9 +163,9 @@ def test_shuffle_faults_change_nothing_durable(tmp_path_factory):
 
 
 def test_task_crashes_retried_away_identically(tmp_path_factory):
-    """Planned worker crashes under a retry budget: parallel backends
-    retry in-place (sticky shard state intact) and converge on the
-    serial run's exact logs and query results."""
+    """Planned worker crashes under a retry budget: every backend
+    retries in-place (sticky shard state intact) and converges on the
+    same logs, query results and retry count."""
     plan = FaultPlan(
         seed=0,
         specs=(
@@ -177,12 +178,10 @@ def test_task_crashes_retried_away_identically(tmp_path_factory):
         out = tmp_path_factory.mktemp(f"task_{name}")
         outcomes[name] = _run_session(out, lambda: make_exec(3), plan)
     assert not any(o["crashed"] for o in outcomes.values())
-    _assert_identical(outcomes, ("crashed", "logs", "queries"))
-    # serial runs never dispatch koidb_apply, so the task site never
-    # fires there; the pools must have actually exercised the retry path
-    assert outcomes["serial"]["retries"] == 0
-    assert outcomes["thread"]["retries"] > 0
-    assert outcomes["process"]["retries"] > 0
+    _assert_identical(outcomes, ("crashed", "logs", "queries", "retries"))
+    # every backend dispatches koidb_apply, so every backend must have
+    # actually exercised the retry path, the same number of times
+    assert outcomes["serial"]["retries"] > 0
 
 
 def test_storage_crash_recovers_identically(tmp_path_factory):

@@ -409,14 +409,16 @@ class TestExplainIds:
                 "explain-000001"
             ]
 
-    def test_legacy_positional_spread_still_works(self, tmp_path):
+    def test_only_typed_requests_are_accepted(self, tmp_path):
         lo, hi = WIDE
         with Session(TRACE.nranks, tmp_path / "db", OPTIONS) as session:
             session.ingest_epoch(0, streams(0))
-            legacy = session.query(0, lo, hi)
-            typed = session.query(QueryRequest(lo=lo, hi=hi, epoch=0))
-            assert legacy.payload() == typed.payload()
-            legacy_explain = session.explain(0, lo, hi)
-            assert legacy_explain.cost == legacy.cost
-            with pytest.raises(TypeError, match="not both"):
-                session.query(QueryRequest(lo=lo, hi=hi), lo=lo, hi=hi)
+            pinned = session.query(QueryRequest(lo=lo, hi=hi, epoch=0))
+            latest = session.query(QueryRequest(lo=lo, hi=hi))
+            assert pinned.payload() == latest.payload()
+            report = session.explain(QueryRequest(lo=lo, hi=hi, epoch=0))
+            assert report.cost == pinned.cost
+            with pytest.raises(TypeError, match="expected a QueryRequest"):
+                session.query(0)  # type: ignore[arg-type]
+            with pytest.raises(TypeError, match="expected a QueryRequest"):
+                session.explain(0)  # type: ignore[arg-type]

@@ -11,6 +11,8 @@ dynamically, including through the ``Session.snapshot()`` /
 from __future__ import annotations
 
 import gc
+import multiprocessing
+import os
 import warnings
 
 import numpy as np
@@ -20,6 +22,7 @@ from repro.api import Session
 from repro.core.carp import CarpRun
 from repro.core.config import CarpOptions
 from repro.core.records import RecordBatch
+from repro.exec import make_executor
 from repro.exec.work import probe_log
 from repro.query.request import QueryRequest
 from repro.storage.log import LogReader, list_logs
@@ -193,3 +196,45 @@ def test_session_release_and_close_release_maps(tmp_path):
         session.close()
         assert all(m.closed for m in live_maps)
         gc.collect()
+
+
+def _tbl_maps() -> int:
+    """``.tbl`` mappings held by this process and its worker children."""
+    pids = ["self"] + [str(p.pid) for p in multiprocessing.active_children()]
+    count = 0
+    for pid in pids:
+        with open(f"/proc/{pid}/maps") as fh:
+            count += sum(1 for line in fh if line.rstrip().endswith(".tbl"))
+    return count
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/maps"), reason="needs /proc/<pid>/maps"
+)
+@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+def test_snapshot_release_cycles_hold_maps_flat(tmp_path, backend):
+    # every cycle pins a new snapshot and probes it; release must drop
+    # both the driver's readers and the ones worker shards cached
+    nranks = 4
+    counts = []
+    with make_executor(backend, 2) as executor, Session(
+        nranks, tmp_path, options=OPTIONS, executor=executor
+    ) as session:
+        for epoch in range(10):
+            session.ingest_epoch(epoch, [
+                RecordBatch(
+                    np.linspace(rank, 100.0 + rank, 200, dtype="<f4"),
+                    np.arange(200, dtype="<u8")
+                    + np.uint64(rank) * np.uint64(1 << 32),
+                    OPTIONS.value_size,
+                )
+                for rank in range(nranks)
+            ])
+            snap = session.snapshot()
+            resp = session.query(
+                QueryRequest(lo=0.0, hi=200.0, epoch=epoch), snapshot=snap
+            )
+            assert len(resp) == nranks * 200
+            session.release(snap)
+            counts.append(_tbl_maps())
+    assert counts == [counts[0]] * len(counts), counts
